@@ -381,16 +381,16 @@ func BenchmarkTraceVsPipeline(b *testing.B) {
 		ips["trace-parallel"]["all"] = v
 	})
 	// The sweep pair: the same scheme-knob grid, cold (every cell
-	// replayed) and warm-started with a frontend-artifact cache (cells
-	// differing only in carryover knobs reused). Their ratio is the
+	// replayed) and warm-started (cells differing only in carryover
+	// knobs reused from the carryover memo). Their ratio is the
 	// sweep_warm_speedup series CI floors; results are byte-identical
 	// (TestWarmSweepByteIdenticalToCold).
 	sweepIPS := map[string]float64{}
 	b.Run("sweep/cold", func(b *testing.B) {
-		sweepIPS["cold"] = sweepLeg(b, dir, "", false)
+		sweepIPS["cold"] = sweepLeg(b, dir, false)
 	})
 	b.Run("sweep/warm", func(b *testing.B) {
-		sweepIPS["warm"] = sweepLeg(b, dir, b.TempDir(), true)
+		sweepIPS["warm"] = sweepLeg(b, dir, true)
 	})
 	writeTraceBenchJSON(b, schemes, ips, sweepIPS)
 	writeObservedOutputs(b, obsv)
@@ -410,24 +410,20 @@ const (
 // × commit budget over wall time. The warm leg's gain comes from
 // reusing replay statistics across the carryover axis, not from doing
 // less statistical work — every cell still yields its full Stats.
-func sweepLeg(b *testing.B, traceDir, frontendDir string, warm bool) float64 {
+func sweepLeg(b *testing.B, traceDir string, warm bool) float64 {
 	b.Helper()
 	wl, err := sim.PrepareWorkload([]string{"gzip", "vpr"}, sweepCommits)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := []sim.Option{
+	exp, err := sim.New(
 		sim.WithWorkload(wl),
 		sim.WithSchemes("conventional", "predpred"),
 		sim.WithCommits(sweepCommits),
 		sim.WithMode(sim.ModeTrace),
 		sim.WithTraceDir(traceDir),
 		sim.WithParallelism(sweepWorkers),
-	}
-	if frontendDir != "" {
-		opts = append(opts, sim.WithFrontendCache(frontendDir))
-	}
-	exp, err := sim.New(opts...)
+	)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -455,7 +451,7 @@ func sweepLeg(b *testing.B, traceDir, frontendDir string, warm bool) float64 {
 		}
 		return cells
 	}
-	cells := sweep() // warm-up: record traces, build artifacts
+	cells := sweep() // warm-up: record traces
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -56,7 +56,6 @@ type driver struct {
 	mode     sim.Mode
 	replayW  int    // trace mode: parallel segment-replay workers (0/1 = serial)
 	replayWu uint64 // parallel replay: per-segment warm-up window
-	feCache  string // frontend-artifact cache dir ("" = live frontend)
 	verbose  bool
 	sink     sim.Sink      // non-nil in machine-readable mode
 	obsv     *sim.Observer // non-nil when -metrics/-manifest requested
@@ -76,13 +75,6 @@ func (d *driver) run(tag string, schemes []string, ifConverted bool, mutate func
 		sim.WithMode(d.mode),
 		sim.WithReplayParallelism(d.replayW),
 		sim.WithReplayWarmup(d.replayWu),
-	}
-	if d.feCache != "" {
-		dir := d.feCache
-		if dir == "auto" {
-			dir = "" // WithFrontendCache resolves the default directory
-		}
-		opts = append(opts, sim.WithFrontendCache(dir))
 	}
 	if d.obsv != nil {
 		opts = append(opts, sim.WithObserver(d.obsv))
@@ -143,7 +135,6 @@ func main() {
 		mode      = flag.String("mode", "pipeline", "execution mode: pipeline (cycle model) or trace (record-once trace replay; accuracy figures only, ~10-100x faster)")
 		replayW   = flag.Int("replay-workers", 0, "trace mode only: replay checkpointed trace segments on this many workers (0/1 = serial; results bit-identical)")
 		replayWu  = flag.Uint64("replay-warmup", 0, "parallel replay: per-segment warm-up window in committed instructions")
-		feCache   = flag.String("frontend-cache", "", `trace mode only: cache frontend artifacts in this directory ("auto" = PREDSIM_FRONTEND_DIR or the user cache dir; empty = live frontend)`)
 		verbose   = flag.Bool("v", false, "print per-run progress to stderr")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -170,10 +161,6 @@ func main() {
 	}
 	d.replayW = *replayW
 	d.replayWu = *replayWu
-	if *feCache != "" && m != sim.ModeTrace {
-		fatal(fmt.Errorf("-frontend-cache needs -mode trace (artifacts feed trace replay only)"))
-	}
-	d.feCache = *feCache
 	if *metrics != "" || *manifest != "" {
 		d.obsv = sim.NewObserver()
 	}

@@ -43,7 +43,6 @@ func main() {
 		mode      = flag.String("mode", "pipeline", "execution mode: pipeline (cycle model) or trace (record-once trace replay, accuracy stats only)")
 		replayW   = flag.Int("replay-workers", 0, "trace mode only: replay checkpointed trace segments on this many workers (0/1 = serial; results bit-identical)")
 		replayWu  = flag.Uint64("replay-warmup", 0, "parallel replay: per-segment warm-up window in committed instructions")
-		feCache   = flag.String("frontend-cache", "", `trace mode only: cache the frontend artifact in this directory ("auto" = PREDSIM_FRONTEND_DIR or the user cache dir; empty = live frontend)`)
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		metrics   = flag.String("metrics", "", "write a metrics snapshot (spans, counters) to this JSON file at exit")
@@ -127,13 +126,6 @@ func main() {
 	if *replayW > 1 && m != sim.ModeTrace {
 		fatal(fmt.Errorf("-replay-workers %d needs -mode trace (parallel replay has no pipeline counterpart)", *replayW))
 	}
-	frontendDir := *feCache
-	if frontendDir != "" && m != sim.ModeTrace {
-		fatal(fmt.Errorf("-frontend-cache needs -mode trace (artifacts feed trace replay only)"))
-	}
-	if frontendDir == "auto" {
-		frontendDir = sim.DefaultFrontendCacheDir()
-	}
 	var obsv *sim.Observer
 	if *metrics != "" || *manifest != "" {
 		obsv = sim.NewObserver()
@@ -159,7 +151,6 @@ func main() {
 		Mode:          m,
 		ReplayWorkers: *replayW,
 		ReplayWarmup:  *replayWu,
-		FrontendDir:   frontendDir,
 		Observer:      obsv,
 		Mutate: func(c *sim.Config) {
 			if *ideal {

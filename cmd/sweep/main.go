@@ -57,7 +57,6 @@ func main() {
 		par       = flag.Int("p", 0, "point worker parallelism (0 = GOMAXPROCS)")
 		replayW   = flag.Int("replay-workers", 0, "trace mode only: replay checkpointed trace segments on this many workers (0/1 = serial; results bit-identical)")
 		replayWu  = flag.Uint64("replay-warmup", 0, "parallel replay: per-segment warm-up window in committed instructions")
-		feCache   = flag.String("frontend-cache", "", `trace mode only: cache frontend artifacts in this directory ("auto" = PREDSIM_FRONTEND_DIR or the user cache dir; empty = live frontend)`)
 		warmStart = flag.Bool("warm-start", false, "trace mode only: order points by knob-edit distance and reuse replay statistics across points differing only in carryover knobs (results byte-identical; see -knobs)")
 		summary   = flag.Bool("summary", true, "print best point and per-axis marginals to stderr")
 		verbose   = flag.Bool("v", false, "print a throttled progress heartbeat (point, elapsed, ETA) to stderr")
@@ -107,13 +106,6 @@ func main() {
 	}
 	if *replayW > 1 && m != sim.ModeTrace {
 		fatal(fmt.Errorf("-replay-workers %d needs -mode trace (parallel replay has no pipeline counterpart)", *replayW))
-	}
-	if *feCache != "" {
-		dir := *feCache
-		if dir == "auto" {
-			dir = "" // WithFrontendCache resolves the default directory
-		}
-		opts = append(opts, sim.WithFrontendCache(dir))
 	}
 	if *verbose {
 		opts = append(opts, sim.WithProgress(heartbeat(os.Stderr)))

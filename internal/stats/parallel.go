@@ -84,17 +84,11 @@ func resolveStride(opt ParallelOptions, commits uint64, tr *trace.Trace) uint64 
 // checkpoint is one restart point of the build pass: the cursor's
 // byte offset at a decode-batch boundary, the committed-instruction
 // count there, and deep snapshots of the frontend and every engine.
-// For an artifact-fed plan the artifact cursor's position at the same
-// boundary (byte offset plus delta base) is captured too, so segments
-// can resume the note stream exactly where their trace cursor resumes
-// the event stream.
 type checkpoint struct {
 	offset    int
 	committed uint64
 	fe        frontend
 	engines   []*engineState
-	artOffset int
-	artPrev   uint64
 }
 
 // planBuilder is the build pass's capture hook: run (replay.go) calls
@@ -116,10 +110,9 @@ func newPlanBuilder(stride uint64) *planBuilder {
 func (b *planBuilder) markerSeen() { b.saw = true }
 
 // maybeCapture snapshots the replay state if a capture is due. It runs
-// between batches, so cur (and acur, in an artifact-fed build pass) is
-// at an event boundary and fe/engines are consistent with everything
-// admitted so far.
-func (b *planBuilder) maybeCapture(cur *trace.Cursor, acur *ArtifactCursor, committed uint64, fe *frontend, engines []*schemeEngine) {
+// between batches, so cur is at an event boundary and fe/engines are
+// consistent with everything admitted so far.
+func (b *planBuilder) maybeCapture(cur *trace.Cursor, committed uint64, fe *frontend, engines []*schemeEngine) {
 	if committed == 0 || (!b.saw && committed < b.next) {
 		return
 	}
@@ -132,17 +125,12 @@ func (b *planBuilder) maybeCapture(cur *trace.Cursor, acur *ArtifactCursor, comm
 	for i, e := range engines {
 		states[i] = e.snapshot()
 	}
-	cp := checkpoint{
+	b.cps = append(b.cps, checkpoint{
 		offset:    cur.Offset(),
 		committed: committed,
 		fe:        fe.snapshot(),
 		engines:   states,
-	}
-	if acur != nil {
-		cp.artOffset = acur.Offset()
-		cp.artPrev = acur.Prev()
-	}
-	b.cps = append(b.cps, cp)
+	})
 }
 
 // replayPlan is an immutable parallel-replay plan for one (trace,
@@ -156,7 +144,6 @@ type replayPlan struct {
 	warmup  uint64
 	total   uint64 // final committed count of the build pass
 	halted  bool
-	art     *Artifact // frontend artifact feeding the plan's replays (nil = live frontend)
 	cps     []checkpoint
 	sts     []pipeline.Stats // the build pass's serial per-scheme statistics
 }
@@ -178,9 +165,9 @@ func (p *replayPlan) matches(cfgs []config.Config, commits, stride, warmup uint6
 // buildPlan runs the serial build pass with the capture hook armed.
 // The pass is an ordinary serial replay — the hook only reads state
 // between batches — so plan.sts are exact serial results.
-func buildPlan(ctx context.Context, s *scratch, cfgs []config.Config, tr *trace.Trace, art *Artifact, commits uint64, stride, warmup uint64) (*replayPlan, error) {
+func buildPlan(ctx context.Context, s *scratch, cfgs []config.Config, tr *trace.Trace, commits uint64, stride, warmup uint64) (*replayPlan, error) {
 	hook := newPlanBuilder(stride)
-	sts, err := s.replayHooked(ctx, cfgs, tr, art, commits, hook)
+	sts, err := s.replayHooked(ctx, cfgs, tr, commits, hook)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +176,6 @@ func buildPlan(ctx context.Context, s *scratch, cfgs []config.Config, tr *trace.
 		commits: commits,
 		stride:  stride,
 		warmup:  warmup,
-		art:     art,
 		cps:     hook.cps,
 		sts:     sts,
 	}
@@ -322,7 +308,6 @@ func (p *replayPlan) replaySegment(ctx context.Context, tr *trace.Trace, s *scra
 	fe.predVal[isa.P0] = true
 	fe.prevVal[isa.P0] = true
 	var cur *trace.Cursor
-	var acur *ArtifactCursor
 	var committed uint64
 	if seg.cp != nil {
 		fe.restore(seg.cp.fe)
@@ -331,14 +316,8 @@ func (p *replayPlan) replaySegment(ctx context.Context, tr *trace.Trace, s *scra
 			e.restore(seg.cp.engines[i])
 		}
 		cur = tr.EventCursorAt(seg.cp.offset)
-		if p.art != nil {
-			acur = p.art.CursorAt(seg.cp.artOffset, seg.cp.artPrev)
-		}
 	} else {
 		cur = tr.EventCursor()
-		if p.art != nil {
-			acur = p.art.Cursor()
-		}
 	}
 	if s.evs == nil {
 		s.evs = make([]trace.Event, batchEvents)
@@ -354,7 +333,6 @@ func (p *replayPlan) replaySegment(ctx context.Context, tr *trace.Trace, s *scra
 		}
 		n := 0
 		split := 0 // admitted events at positions <= scoreFrom (warm-up)
-		var lastStep uint64
 		for i := 0; i < nDec; i++ {
 			ev := &s.evs[i]
 			committed += ev.Gap
@@ -379,11 +357,7 @@ func (p *replayPlan) replaySegment(ctx context.Context, tr *trace.Trace, s *scra
 				if n != i {
 					s.evs[n] = *ev
 				}
-				if acur == nil {
-					fe.annotate(&s.evs[n], &s.notes[n])
-				} else {
-					lastStep = committed
-				}
+				fe.annotate(&s.evs[n], &s.notes[n])
 				if committed <= seg.scoreFrom {
 					split = n + 1
 				}
@@ -396,11 +370,6 @@ func (p *replayPlan) replaySegment(ctx context.Context, tr *trace.Trace, s *scra
 			if seg.scoreTo > 0 && committed >= seg.scoreTo {
 				done = true
 				break
-			}
-		}
-		if acur != nil && n > 0 {
-			if err := fillNotes(acur, s.notes[:n], lastStep); err != nil {
-				return nil, err
 			}
 		}
 		if scored {
@@ -483,7 +452,7 @@ func addStats(dst, src *pipeline.Stats) {
 // returned (segments complete out of order).
 func ReplayAllParallel(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64, opt ParallelOptions) ([]pipeline.Stats, error) {
 	var s scratch
-	plan, err := buildPlan(ctx, &s, cfgs, tr, nil, commits, resolveStride(opt, commits, tr), opt.WarmupInstrs)
+	plan, err := buildPlan(ctx, &s, cfgs, tr, commits, resolveStride(opt, commits, tr), opt.WarmupInstrs)
 	if err != nil {
 		return nil, err
 	}

@@ -280,25 +280,7 @@ func ReplayContext(ctx context.Context, cfg config.Config, tr *trace.Trace, comm
 // accumulated so far are returned alongside the context error.
 func ReplayAll(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64) ([]pipeline.Stats, error) {
 	var s scratch
-	return s.replayAll(ctx, cfgs, tr, nil, commits)
-}
-
-// ReplayAllArtifact is ReplayAll fed from a materialized frontend
-// artifact: the annotate pass is skipped and each batch's notes are
-// decoded from the artifact's stream instead. Statistics are
-// bit-identical to ReplayAll over the same trace and budget. Unlike
-// the Session path (which silently falls back to the live frontend
-// when an artifact cannot cover the budget), this strict form requires
-// the artifact and surfaces ErrArtifactMismatch / ErrArtifactDesync.
-func ReplayAllArtifact(ctx context.Context, cfgs []config.Config, tr *trace.Trace, art *Artifact, commits uint64) ([]pipeline.Stats, error) {
-	if art == nil {
-		return nil, fmt.Errorf("stats: nil frontend artifact")
-	}
-	if art.ProgHash != tr.ProgHash {
-		return nil, fmt.Errorf("%w: artifact program hash %016x, trace %016x", ErrArtifactMismatch, art.ProgHash, tr.ProgHash)
-	}
-	var s scratch
-	return s.replayAll(ctx, cfgs, tr, art, commits)
+	return s.replayAll(ctx, cfgs, tr, commits)
 }
 
 // scratch holds the reusable decode buffers of a single-pass replay —
@@ -309,16 +291,16 @@ type scratch struct {
 	notes []note
 }
 
-func (s *scratch) replayAll(ctx context.Context, cfgs []config.Config, tr *trace.Trace, art *Artifact, commits uint64) ([]pipeline.Stats, error) {
-	return s.replay(ctx, cfgs, tr, art, commits, nil, nil, nil)
+func (s *scratch) replayAll(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64) ([]pipeline.Stats, error) {
+	return s.replay(ctx, cfgs, tr, commits, nil, nil, nil)
 }
 
 // replayHooked is replayAll with a checkpoint-capture hook armed — the
 // build pass of parallel segment replay (parallel.go). The hook only
 // reads state between batches, so the returned statistics are exact
 // serial results.
-func (s *scratch) replayHooked(ctx context.Context, cfgs []config.Config, tr *trace.Trace, art *Artifact, commits uint64, hook *planBuilder) ([]pipeline.Stats, error) {
-	return s.replay(ctx, cfgs, tr, art, commits, nil, nil, hook)
+func (s *scratch) replayHooked(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64, hook *planBuilder) ([]pipeline.Stats, error) {
+	return s.replay(ctx, cfgs, tr, commits, nil, nil, hook)
 }
 
 // replay is the shared body behind replayAll, replayAllTimed and
@@ -327,9 +309,8 @@ func (s *scratch) replayHooked(ctx context.Context, cfgs []config.Config, tr *tr
 // accumulate into tm once per batch (the clock reads sit between
 // phases, so the statistics are bit-identical either way). A non-nil
 // hook captures checkpoints between batches without perturbing the
-// replay. A non-nil art feeds each batch's notes from the artifact's
-// stream instead of the live frontend.
-func (s *scratch) replay(ctx context.Context, cfgs []config.Config, tr *trace.Trace, art *Artifact, commits uint64, tm *Timings, now func() int64, hook *planBuilder) ([]pipeline.Stats, error) {
+// replay.
+func (s *scratch) replay(ctx context.Context, cfgs []config.Config, tr *trace.Trace, commits uint64, tm *Timings, now func() int64, hook *planBuilder) ([]pipeline.Stats, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("stats: replay needs at least one configuration")
 	}
@@ -345,7 +326,7 @@ func (s *scratch) replay(ctx context.Context, cfgs []config.Config, tr *trace.Tr
 		s.evs = make([]trace.Event, batchEvents)
 		s.notes = make([]note, batchEvents)
 	}
-	err := s.run(ctx, engines, tr, art, commits, tm, now, hook)
+	err := s.run(ctx, engines, tr, commits, tm, now, hook)
 	sts := make([]pipeline.Stats, len(engines))
 	for i, e := range engines {
 		sts[i] = e.st
@@ -355,9 +336,8 @@ func (s *scratch) replay(ctx context.Context, cfgs []config.Config, tr *trace.Tr
 
 // run drives the shared cursor: decode a batch, annotate it through the
 // frontend (budget- and marker-aware, exactly as the per-scheme engine
-// looped) — or, artifact-fed, decode the batch's notes from the
-// materialized stream — then fan the admitted events to every engine.
-func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, art *Artifact, commits uint64, tm *Timings, now func() int64, hook *planBuilder) error {
+// looped), then fan the admitted events to every engine.
+func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Trace, commits uint64, tm *Timings, now func() int64, hook *planBuilder) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -366,12 +346,7 @@ func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Tr
 	fe.predVal[isa.P0] = true
 	fe.prevVal[isa.P0] = true
 	cur := tr.EventCursor()
-	var acur *ArtifactCursor
-	if art != nil {
-		acur = art.Cursor()
-	}
 	var committed uint64
-	var lastStep uint64 // step of the batch's last admitted event (artifact mode)
 	halted := false
 	done := false
 	var t0 int64
@@ -410,11 +385,7 @@ func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Tr
 				if n != i {
 					s.evs[n] = *ev
 				}
-				if acur == nil {
-					fe.annotate(&s.evs[n], &s.notes[n])
-				} else {
-					lastStep = committed
-				}
+				fe.annotate(&s.evs[n], &s.notes[n])
 				n++
 			} else if hook != nil {
 				hook.markerSeen()
@@ -422,16 +393,6 @@ func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Tr
 			if commits > 0 && committed >= commits {
 				done = true
 				break
-			}
-		}
-		// Artifact-fed: the batch's notes come from the materialized
-		// stream instead of the annotate pass above. The count and the
-		// final step must line up exactly with the admitted events —
-		// anything else is an artifact built from a different trace or
-		// budget that slipped past the coverage gates.
-		if acur != nil && n > 0 {
-			if err := fillNotes(acur, s.notes[:n], lastStep); err != nil {
-				return err
 			}
 		}
 		if timed {
@@ -453,7 +414,7 @@ func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Tr
 		// everything admitted so far; a finished replay needs no
 		// restart point.
 		if hook != nil && !done {
-			hook.maybeCapture(cur, acur, committed, &fe, engines)
+			hook.maybeCapture(cur, committed, &fe, engines)
 		}
 		// A replay that just reached its budget or halt is complete: a
 		// cancel racing completion must not turn its full statistics
@@ -471,22 +432,6 @@ func (s *scratch) run(ctx context.Context, engines []*schemeEngine, tr *trace.Tr
 	for _, e := range engines {
 		e.st.Committed = committed
 		e.st.HaltSeen = halted
-	}
-	return nil
-}
-
-// fillNotes decodes one admitted batch's notes from the artifact
-// stream into buf, verifying the note count and the final step against
-// the admission loop's view (lastStep) — the desync guard.
-func fillNotes(acur *ArtifactCursor, buf []note, lastStep uint64) error {
-	if m := acur.NextBatch(buf); m != len(buf) {
-		if err := acur.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("%w: note stream ended after %d of %d batch notes", ErrArtifactDesync, m, len(buf))
-	}
-	if got := buf[len(buf)-1].step; got != lastStep {
-		return fmt.Errorf("%w: batch ends at note step %d, trace step %d", ErrArtifactDesync, got, lastStep)
 	}
 	return nil
 }

@@ -7,10 +7,11 @@ import "repro/internal/obs"
 // Hot callers go through these pre-resolved pointers, never through a
 // registry lookup.
 var (
-	cacheHits   = obs.Default().Counter("trace.cache.hits")
-	cacheMisses = obs.Default().Counter("trace.cache.misses")
-	cacheStores = obs.Default().Counter("trace.cache.stores")
-	recordings  = obs.Default().Counter("trace.recordings")
+	cacheHits    = obs.Default().Counter("trace.cache.hits")
+	cacheMisses  = obs.Default().Counter("trace.cache.misses")
+	cacheStores  = obs.Default().Counter("trace.cache.stores")
+	cacheCorrupt = obs.Default().Counter("trace.cache.corrupt")
+	recordings   = obs.Default().Counter("trace.recordings")
 )
 
 // CacheHits returns the number of traces served from the disk cache in
@@ -29,16 +30,21 @@ type Counters struct {
 	CacheHits   uint64
 	CacheMisses uint64
 	CacheStores uint64
-	Recordings  uint64
+	// CacheCorrupt counts cache files that existed but failed to
+	// decode (ErrCorrupt). Load returns them as (nil, nil), like a
+	// miss, and the caller records the trace again.
+	CacheCorrupt uint64
+	Recordings   uint64
 }
 
 // SnapshotCounters reads the current values of all trace counters.
 func SnapshotCounters() Counters {
 	return Counters{
-		CacheHits:   cacheHits.Load(),
-		CacheMisses: cacheMisses.Load(),
-		CacheStores: cacheStores.Load(),
-		Recordings:  recordings.Load(),
+		CacheHits:    cacheHits.Load(),
+		CacheMisses:  cacheMisses.Load(),
+		CacheStores:  cacheStores.Load(),
+		CacheCorrupt: cacheCorrupt.Load(),
+		Recordings:   recordings.Load(),
 	}
 }
 
@@ -46,9 +52,10 @@ func SnapshotCounters() Counters {
 // to c. Counters are monotone, so each field is a plain difference.
 func (c Counters) Since(start Counters) Counters {
 	return Counters{
-		CacheHits:   c.CacheHits - start.CacheHits,
-		CacheMisses: c.CacheMisses - start.CacheMisses,
-		CacheStores: c.CacheStores - start.CacheStores,
-		Recordings:  c.Recordings - start.Recordings,
+		CacheHits:    c.CacheHits - start.CacheHits,
+		CacheMisses:  c.CacheMisses - start.CacheMisses,
+		CacheStores:  c.CacheStores - start.CacheStores,
+		CacheCorrupt: c.CacheCorrupt - start.CacheCorrupt,
+		Recordings:   c.Recordings - start.Recordings,
 	}
 }

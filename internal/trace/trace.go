@@ -20,9 +20,11 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 
 	"repro/internal/isa"
 	"repro/internal/program"
@@ -175,78 +177,115 @@ func (t *Trace) EncodeTo(w io.Writer) error {
 	return err
 }
 
-// Decode parses a serialized trace.
+// ErrCorrupt is wrapped by every Decode failure: the input is not a
+// complete trace of this format version (bad magic, a truncated
+// stream, or a length or count the input does not back).
+var ErrCorrupt = errors.New("trace: corrupt stream")
+
+// Decode parses a serialized trace. Lengths and counts in the header
+// are never trusted for allocation: buffers grow only as the input
+// actually supplies bytes, so a corrupt header yields ErrCorrupt, not
+// an out-of-memory panic.
 func Decode(r io.Reader) (*Trace, error) {
-	br := newByteReader(r)
+	t, err := decode(newByteReader(r))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	return t, nil
+}
+
+func decode(br interface {
+	io.Reader
+	io.ByteReader
+}) (*Trace, error) {
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("trace: short header: %w", err)
+		return nil, fmt.Errorf("short header: %w", err)
 	}
 	if string(head) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", head)
+		return nil, fmt.Errorf("bad magic %q", head)
 	}
 	t := &Trace{}
 	nameLen, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("trace: name length: %w", err)
+		return nil, fmt.Errorf("name length: %w", err)
 	}
 	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
+		return nil, fmt.Errorf("implausible name length %d", nameLen)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: name: %w", err)
+	name, err := readN(br, nameLen)
+	if err != nil {
+		return nil, fmt.Errorf("name: %w", err)
 	}
 	t.Name = string(name)
 	var raw [8]byte
 	if _, err := io.ReadFull(br, raw[:]); err != nil {
-		return nil, fmt.Errorf("trace: program hash: %w", err)
+		return nil, fmt.Errorf("program hash: %w", err)
 	}
 	t.ProgHash = binary.LittleEndian.Uint64(raw[:])
 	fields := []*uint64{&t.Cap, &t.Steps}
 	for _, f := range fields {
 		if *f, err = binary.ReadUvarint(br); err != nil {
-			return nil, fmt.Errorf("trace: header field: %w", err)
+			return nil, fmt.Errorf("header field: %w", err)
 		}
 	}
 	hb, err := br.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("trace: halted flag: %w", err)
+		return nil, fmt.Errorf("halted flag: %w", err)
 	}
 	t.Halted = hb != 0
 	for _, f := range []*uint64{&t.CondBranches, &t.Compares} {
 		if *f, err = binary.ReadUvarint(br); err != nil {
-			return nil, fmt.Errorf("trace: header count: %w", err)
+			return nil, fmt.Errorf("header count: %w", err)
 		}
 	}
 	nRegions, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("trace: region count: %w", err)
+		return nil, fmt.Errorf("region count: %w", err)
 	}
 	if nRegions > 1<<24 {
-		return nil, fmt.Errorf("trace: implausible region count %d", nRegions)
+		return nil, fmt.Errorf("implausible region count %d", nRegions)
 	}
-	t.Regions = make([]Region, nRegions)
-	for i := range t.Regions {
+	// Each region costs at least two input bytes, so growing by append
+	// bounds the table by what the stream supplies.
+	t.Regions = []Region{}
+	for i := uint64(0); i < nRegions; i++ {
 		k, err := br.ReadByte()
 		if err != nil {
-			return nil, fmt.Errorf("trace: region kind: %w", err)
+			return nil, fmt.Errorf("region kind: %w", err)
 		}
 		pc, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("trace: region pc: %w", err)
+			return nil, fmt.Errorf("region pc: %w", err)
 		}
-		t.Regions[i] = Region{Kind: k, BranchPC: int(pc)}
+		t.Regions = append(t.Regions, Region{Kind: k, BranchPC: int(pc)})
 	}
 	evLen, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("trace: event length: %w", err)
+		return nil, fmt.Errorf("event length: %w", err)
 	}
-	t.Events = make([]byte, evLen)
-	if _, err := io.ReadFull(br, t.Events); err != nil {
-		return nil, fmt.Errorf("trace: events: %w", err)
+	if t.Events, err = readN(br, evLen); err != nil {
+		return nil, fmt.Errorf("events: %w", err)
 	}
 	return t, nil
+}
+
+// readN reads exactly n bytes. The buffer grows as bytes arrive rather
+// than being sized from n up front, so an oversized length costs no
+// more memory than the input holds.
+func readN(r io.Reader, n uint64) ([]byte, error) {
+	if n > math.MaxInt64 {
+		return nil, fmt.Errorf("length %d exceeds any input", n)
+	}
+	var b bytes.Buffer
+	got, err := io.CopyN(&b, r, int64(n))
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%d of %d bytes: %w", got, n, err)
+	}
+	return b.Bytes(), nil
 }
 
 // Cursor iterates the event stream without allocating per event.
@@ -348,6 +387,11 @@ func (c *Cursor) Next(ev *Event) bool {
 	default:
 		c.err = fmt.Errorf("trace: unknown event kind %d at offset %d", ev.Kind, c.pos) //simlint:ignore hotalloc cold malformed-stream path, taken at most once per cursor
 		return false
+	}
+	// Predicate register numbers index the replay engines' fixed-size
+	// predicate tables, so a corrupt stream must stop here, not there.
+	if c.err == nil && (ev.QP >= isa.NumPred || ev.P1 >= isa.NumPred || ev.P2 >= isa.NumPred) {
+		c.err = fmt.Errorf("%w: predicate register out of range before offset %d", ErrCorrupt, c.pos) //simlint:ignore hotalloc cold malformed-stream path, taken at most once per cursor
 	}
 	return c.err == nil
 }

@@ -3,11 +3,15 @@ package trace
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/emulator"
+	"repro/internal/isa"
 )
 
 func recordBench(t *testing.T, name string, steps uint64) *Trace {
@@ -147,6 +151,69 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Decode(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("want error for truncated stream")
+	}
+}
+
+// craftedTrace is a well-formed trace header (empty name, no counts)
+// declaring nRegions regions and an event stream of evLen bytes,
+// followed by only the given tail bytes.
+func craftedTrace(nRegions, evLen uint64, tail ...byte) []byte {
+	b := []byte(magic)
+	b = binary.AppendUvarint(b, 0)    // name length
+	b = append(b, make([]byte, 8)...) // program hash
+	b = append(b, 0, 0, 0, 0, 0)      // cap, steps, halted, cond branches, compares
+	b = binary.AppendUvarint(b, nRegions)
+	if nRegions == 0 {
+		b = binary.AppendUvarint(b, evLen)
+	}
+	return append(b, tail...)
+}
+
+// TestDecodeRejectsOversizedLengths feeds Decode headers whose lengths
+// and counts the input cannot back, plus truncations of a real trace:
+// each must fail with ErrCorrupt, never panic or allocate the declared
+// size.
+func TestDecodeRejectsOversizedLengths(t *testing.T) {
+	tr := recordBench(t, "gzip", 1000)
+	var buf bytes.Buffer
+	if err := tr.EncodeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	cases := map[string][]byte{
+		"event length 1<<62":  craftedTrace(0, 1<<62, 1, 2, 3),
+		"event length maxu64": craftedTrace(0, math.MaxUint64),
+		"region count 1<<62":  craftedTrace(1<<62, 0, 1, 7),
+		"region count 1<<24":  craftedTrace(1<<24-1, 0),
+		"truncated header":    full[:len(magic)+3],
+		"truncated events":    full[:len(full)-1],
+	}
+	for name, in := range cases {
+		if _, err := Decode(bytes.NewReader(in)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode error = %v, want ErrCorrupt", name, err)
+		}
+	}
+	if _, err := Decode(bytes.NewReader(full)); err != nil {
+		t.Fatalf("intact stream: %v", err)
+	}
+}
+
+// TestCursorRejectsOutOfRangePredicate corrupts a conditional branch's
+// guard register: the cursor must stop with ErrCorrupt instead of
+// handing replay an index past its predicate tables.
+func TestCursorRejectsOutOfRangePredicate(t *testing.T) {
+	var b bytes.Buffer
+	b.WriteByte(0)                     // gap
+	b.WriteByte(EvCondBr)              // kind, no flags
+	b.WriteByte(5)                     // pc
+	b.WriteByte(byte(isa.NumPred) + 3) // guard predicate
+	cur := (&Trace{Events: b.Bytes()}).EventCursor()
+	var ev Event
+	if cur.Next(&ev) {
+		t.Fatalf("cursor accepted guard p%d", ev.QP)
+	}
+	if !errors.Is(cur.Err(), ErrCorrupt) {
+		t.Fatalf("cursor error = %v, want ErrCorrupt", cur.Err())
 	}
 }
 

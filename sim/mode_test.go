@@ -2,6 +2,10 @@ package sim_test
 
 import (
 	"context"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -187,6 +191,56 @@ func TestTraceDiskCache(t *testing.T) {
 	}
 	if got := trace.Recordings(); got != afterFirst+1 {
 		t.Fatalf("larger budget should re-record once, got %d extra", got-afterFirst)
+	}
+}
+
+// TestCorruptTraceCacheReRecords overwrites a cached trace with a
+// header declaring a 1<<62-byte event stream: the next run must count
+// the file on trace.cache.corrupt, record the trace again and produce
+// the same statistics — never panic.
+func TestCorruptTraceCacheReRecords(t *testing.T) {
+	dir := t.TempDir()
+	wl, err := sim.PrepareWorkload([]string{"twolf"}, 50000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() []sim.Result {
+		t.Helper()
+		exp, err := sim.New(
+			sim.WithWorkload(wl),
+			sim.WithSchemes("predpred"),
+			sim.WithCommits(20000),
+			sim.WithMode(sim.ModeTrace),
+			sim.WithTraceDir(dir),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := exp.Run(context.Background())
+		if err != nil || len(rs) != 1 || rs[0].Err != nil {
+			t.Fatalf("run: %v, %+v", err, rs)
+		}
+		return rs
+	}
+	want := run()
+	files, err := filepath.Glob(filepath.Join(dir, "*.pptrace"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("want one cached trace, got %v (%v)", files, err)
+	}
+	hdr := append([]byte("PPTRACE1"), 0)   // magic, empty name
+	hdr = append(hdr, make([]byte, 14)...) // hash, cap, steps, halted, counts, no regions
+	hdr = binary.AppendUvarint(hdr, 1<<62) // event length
+	if err := os.WriteFile(files[0], hdr, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	before := trace.SnapshotCounters()
+	got := run()
+	d := trace.SnapshotCounters().Since(before)
+	if d.CacheCorrupt != 1 || d.CacheMisses != 0 || d.Recordings != 1 {
+		t.Errorf("counter movement %+v, want one corrupt file and one re-recording", d)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("re-recorded run differs from the original")
 	}
 }
 

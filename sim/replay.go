@@ -21,10 +21,9 @@ import (
 // A ReplaySession is not safe for concurrent use; give each goroutine
 // its own.
 type ReplaySession struct {
-	run        ProgramRun
-	outcome    string // trace provenance ("hit" or "record") for manifests
-	artOutcome string // frontend-artifact provenance ("hit"/"build"/"")
-	sess       *stats.Session
+	run     ProgramRun
+	outcome string // trace provenance ("hit" or "record") for manifests
+	sess    *stats.Session
 }
 
 // NewReplaySession records (or loads) the program's trace and wraps it
@@ -45,9 +44,7 @@ func NewReplaySession(ctx context.Context, r ProgramRun) (*ReplaySession, error)
 	if err != nil {
 		return nil, err
 	}
-	sess := stats.NewSession(tr)
-	artOutcome := attachProgramArtifact(ctx, r, tr, sess)
-	return &ReplaySession{run: r, outcome: outcome, artOutcome: artOutcome, sess: sess}, nil
+	return &ReplaySession{run: r, outcome: outcome, sess: stats.NewSession(tr)}, nil
 }
 
 // Steps returns the number of committed instructions the session's
@@ -63,5 +60,5 @@ func (s *ReplaySession) Replay(ctx context.Context, schemes ...string) ([]Progra
 	if len(schemes) == 0 {
 		return nil, fmt.Errorf("sim: no schemes given")
 	}
-	return replaySchemeGroup(ctx, s.run, s.sess, s.outcome, s.artOutcome, schemes)
+	return replaySchemeGroup(ctx, s.run, s.sess, s.outcome, schemes)
 }

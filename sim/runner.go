@@ -36,7 +36,7 @@ type warmRef struct {
 }
 
 // Warm-start reuse counters, on the process registry like the trace
-// and frontend cache tiers' own.
+// cache's own.
 var (
 	warmHits   = obs.Default().Counter("sweep.warmstart.hits")
 	warmMisses = obs.Default().Counter("sweep.warmstart.misses")
@@ -212,7 +212,7 @@ func (e *Experiment) Start(ctx context.Context) (*Runner, error) {
 	}
 	var traces *traceProvider
 	if e.mode&ModeTrace != 0 {
-		traces = newTraceProvider(e.traceDir, e.frontendDir, wl.profileSteps, e.commits, e.observer)
+		traces = newTraceProvider(e.traceDir, wl.profileSteps, e.commits, e.observer)
 	}
 	jobs, total := e.buildJobs(wl)
 	r := &Runner{
@@ -506,7 +506,7 @@ func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, meta man
 	if o == nil {
 		return
 	}
-	outcome, artOutcome, _, _ := traces.info(j.bench)
+	outcome, _, _ := traces.info(j.bench)
 	var group []string
 	if len(live) > 1 {
 		group = make([]string, len(live))
@@ -532,7 +532,6 @@ func (e *Experiment) observeTraceGroup(traces *traceProvider, j simJob, meta man
 	for i := range out {
 		m := e.cellManifest(j, i, meta, out[i])
 		m.Cache = outcome
-		m.FrontendCache = artOutcome
 		m.WarmStart = warmed != nil && warmed[i]
 		m.GroupSchemes = group
 		if k, ok := liveIdx[i]; ok {
@@ -635,12 +634,6 @@ type ProgramRun struct {
 	Mutate  func(*Config) // optional configuration adjustment
 	// TraceDir overrides the trace cache directory for ModeTrace.
 	TraceDir string
-	// FrontendDir, when non-empty, enables the second-level
-	// frontend-artifact cache for ModeTrace (see WithFrontendCache):
-	// the program's frontend pass is loaded from (or built and stored
-	// into) that directory and replays are fed from the artifact's
-	// note stream, bit-identically to the live frontend.
-	FrontendDir string
 	// ReplayWorkers, when > 1, replays the trace in checkpointed
 	// segments on that many workers (ModeTrace only; merged statistics
 	// are bit-identical to serial replay). 0 or 1 means serial.
@@ -714,7 +707,6 @@ func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
 			return out, err
 		}
 		sess := stats.NewSession(tr)
-		artOutcome := attachProgramArtifact(ctx, r, tr, sess)
 		if o != nil {
 			sts, tm, err := sess.ReplayAllTimed(ctx, []Config{cfg}, r.Commits, o.clock)
 			if len(sts) == 1 {
@@ -725,7 +717,6 @@ func SimulateProgram(ctx context.Context, r ProgramRun) (ProgramResult, error) {
 			o.span(PhaseEngine, tm.EngineNS[0])
 			m := r.manifest(0, r.Scheme, ModeTrace, out.Stats)
 			m.Cache = outcome
-			m.FrontendCache = artOutcome
 			m.PhasesNS = map[string]int64{
 				PhaseDecode:   tm.DecodeNS,
 				PhaseFrontend: tm.FrontendNS,
@@ -806,9 +797,7 @@ func SimulateProgramSchemes(ctx context.Context, r ProgramRun, schemes ...string
 	if err != nil {
 		return nil, err
 	}
-	sess := stats.NewSession(tr)
-	artOutcome := attachProgramArtifact(ctx, r, tr, sess)
-	return replaySchemeGroup(ctx, r, sess, outcome, artOutcome, schemes)
+	return replaySchemeGroup(ctx, r, stats.NewSession(tr), outcome, schemes)
 }
 
 // replaySchemeGroup replays one recorded trace through every scheme's
@@ -817,7 +806,7 @@ func SimulateProgramSchemes(ctx context.Context, r ProgramRun, schemes ...string
 // per-cell telemetry. Shared by SimulateProgramSchemes (one-shot
 // session) and ReplaySession.Replay (reused session, amortized build
 // pass).
-func replaySchemeGroup(ctx context.Context, r ProgramRun, sess *stats.Session, outcome, artOutcome string, schemes []string) ([]ProgramResult, error) {
+func replaySchemeGroup(ctx context.Context, r ProgramRun, sess *stats.Session, outcome string, schemes []string) ([]ProgramResult, error) {
 	cfgs := make([]Config, len(schemes))
 	for i, s := range schemes {
 		cfg, err := schemeConfig(s)
@@ -871,7 +860,6 @@ func replaySchemeGroup(ctx context.Context, r ProgramRun, sess *stats.Session, o
 		}
 		m := r.manifest(i, schemes[i], ModeTrace, sts[i])
 		m.Cache = outcome
-		m.FrontendCache = artOutcome
 		if len(schemes) > 1 {
 			m.GroupSchemes = append([]string(nil), schemes...)
 		}
@@ -891,38 +879,6 @@ func replaySchemeGroup(ctx context.Context, r ProgramRun, sess *stats.Session, o
 		o.finishRun(nil)
 	}
 	return out, nil
-}
-
-// attachProgramArtifact obtains (and attaches to sess) the program's
-// frontend artifact for the run's commit budget when r.FrontendDir
-// enables the tier: from the disk cache, or by one frontend-only pass
-// stored back for the next process. The returned provenance is "hit",
-// "build", or "" when the tier is off or the artifact could not be
-// obtained — in which case the session replays the live frontend,
-// bit-identically.
-func attachProgramArtifact(ctx context.Context, r ProgramRun, tr *trace.Trace, sess *stats.Session) string {
-	if r.FrontendDir == "" {
-		return ""
-	}
-	key := stats.ArtifactKey(
-		"program", r.Program.Name,
-		fmt.Sprintf("prog=%016x", tr.ProgHash),
-		fmt.Sprintf("commits=%d", r.Commits),
-	)
-	a, _ := stats.LoadArtifact(r.FrontendDir, key)
-	if a != nil && a.ProgHash == tr.ProgHash && (a.Covers(r.Commits) || a.Steps >= tr.Steps) {
-		if sess.SetArtifact(a) == nil {
-			r.Observer.frontendOutcome("hit")
-			return "hit"
-		}
-	}
-	a, err := stats.BuildArtifact(ctx, tr, r.Commits)
-	if err != nil || sess.SetArtifact(a) != nil {
-		return ""
-	}
-	r.Observer.frontendOutcome("build")
-	_ = stats.StoreArtifact(r.FrontendDir, key, a)
-	return "build"
 }
 
 // recordProgramTrace records (or loads from the cache) the trace of an

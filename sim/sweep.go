@@ -476,7 +476,7 @@ func (s *Sweep) Start(ctx context.Context) (*SweepRunner, error) {
 	}
 	var traces *traceProvider
 	if e.mode&ModeTrace != 0 {
-		traces = newTraceProvider(e.traceDir, e.frontendDir, wl.profileSteps, e.commits, e.observer)
+		traces = newTraceProvider(e.traceDir, wl.profileSteps, e.commits, e.observer)
 	}
 	pts := s.Points()
 	if s.warmStart {

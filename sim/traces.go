@@ -16,16 +16,8 @@ import (
 // the binary variant and the binary's content hash — so a second
 // process run of the same experiment replays from disk without
 // re-emulating anything.
-//
-// With a frontend cache directory configured (WithFrontendCache) the
-// provider also materializes each benchmark's frontend artifact — the
-// scheme-independent note stream of a (trace, budget) replay — through
-// the second-level disk cache, so replays skip the annotate pass
-// entirely. The artifact tier is advisory end to end: any failure to
-// load, build or store one falls back to the live frontend.
 type traceProvider struct {
 	dir          string
-	frontendDir  string // frontend-artifact cache; "" disables the tier
 	profileSteps uint64
 	cap          uint64 // record budget: the experiment's commit budget
 	obsv         *Observer
@@ -46,21 +38,14 @@ type traceEntry struct {
 	outcome  string
 	lookupNS int64
 	recordNS int64
-
-	// Frontend artifact and its provenance ("hit" from the disk tier,
-	// "build" from a fresh frontend pass, "" when the tier is off or
-	// the artifact could not be obtained). Same write/read discipline.
-	art        *stats.Artifact
-	artOutcome string
 }
 
-func newTraceProvider(dir, frontendDir string, profileSteps, cap uint64, o *Observer) *traceProvider {
+func newTraceProvider(dir string, profileSteps, cap uint64, o *Observer) *traceProvider {
 	if dir == "" {
 		dir = trace.DefaultDir()
 	}
 	return &traceProvider{
 		dir:          dir,
-		frontendDir:  frontendDir,
 		profileSteps: profileSteps,
 		cap:          cap,
 		obsv:         o,
@@ -90,18 +75,16 @@ func (p *traceProvider) entry(name string) *traceEntry {
 	return ent
 }
 
-// info reports a loaded benchmark's trace and frontend-artifact
-// provenance. Valid once get has returned for the benchmark (the
-// runner asks after session()).
-func (p *traceProvider) info(name string) (outcome, artOutcome string, lookupNS, recordNS int64) {
+// info reports a loaded benchmark's trace provenance. Valid once get
+// has returned for the benchmark (the runner asks after session()).
+func (p *traceProvider) info(name string) (outcome string, lookupNS, recordNS int64) {
 	ent := p.entry(name)
-	return ent.outcome, ent.artOutcome, ent.lookupNS, ent.recordNS
+	return ent.outcome, ent.lookupNS, ent.recordNS
 }
 
 // session returns a worker-local replay session for one prepared
 // benchmark, recording or loading its trace through the provider on
-// first use, with the provider's frontend artifact (if any) attached.
-// The cache map belongs to a single worker goroutine (sessions are not
+// first use. The cache map belongs to a single worker goroutine (sessions are not
 // concurrency-safe); the provider underneath still guarantees at most
 // one recording per benchmark however many workers ask.
 func (p *traceProvider) session(ctx context.Context, cache map[string]*stats.Session, pg stats.Programs, converted bool) (*stats.Session, error) {
@@ -113,12 +96,6 @@ func (p *traceProvider) session(ctx context.Context, cache map[string]*stats.Ses
 		return nil, err
 	}
 	s := stats.NewSession(tr)
-	if art := p.entry(pg.Spec.Name).art; art != nil {
-		// The provider validated the program hash before accepting the
-		// artifact, so the attach cannot fail; guard anyway — a session
-		// without an artifact replays the live frontend, bit-identically.
-		_ = s.SetArtifact(art)
-	}
 	cache[pg.Spec.Name] = s
 	return s, nil
 }
@@ -133,13 +110,12 @@ func (p *traceProvider) load(ctx context.Context, pg stats.Programs, converted b
 	// including the optional behaviour fields at their resolved
 	// defaults), so user-authored workloads — which are free to reuse a
 	// built-in name with different parameters — cache correctly.
-	parts := []string{
+	key := trace.Key(
 		fmt.Sprintf("spec=%016x", pg.Spec.Hash()),
 		fmt.Sprintf("profile=%d", p.profileSteps),
 		fmt.Sprintf("converted=%v", converted),
 		fmt.Sprintf("prog=%016x", hash),
-	}
-	key := trace.Key(parts...)
+	)
 	o := p.obsv
 	t0 := o.now()
 	t, _ := trace.Load(p.dir, key)
@@ -148,7 +124,6 @@ func (p *traceProvider) load(ctx context.Context, pg stats.Programs, converted b
 	if t != nil && t.ProgHash == hash && t.Covers(p.cap) {
 		ent.outcome = "hit"
 		o.cacheOutcome(ent.outcome)
-		p.attachArtifact(ctx, ent, t, parts)
 		return t, nil
 	}
 	var regions []trace.Region
@@ -169,34 +144,5 @@ func (p *traceProvider) load(ctx context.Context, pg stats.Programs, converted b
 	// The cache is advisory: a failed store costs a re-recording next
 	// process, never the run.
 	_ = trace.Store(p.dir, key, t)
-	p.attachArtifact(ctx, ent, t, parts)
 	return t, nil
-}
-
-// attachArtifact obtains the benchmark's frontend artifact for the
-// provider's commit budget: from the second-level disk cache keyed by
-// the trace's content parts plus the budget, or by running one
-// frontend-only pass (stored back for the next process). Failures
-// leave ent.art nil — replays silently fall back to the live frontend.
-func (p *traceProvider) attachArtifact(ctx context.Context, ent *traceEntry, tr *trace.Trace, parts []string) {
-	if p.frontendDir == "" {
-		return
-	}
-	akey := stats.ArtifactKey(append(append([]string(nil), parts...), fmt.Sprintf("commits=%d", p.cap))...)
-	a, _ := stats.LoadArtifact(p.frontendDir, akey)
-	if a != nil && a.ProgHash == tr.ProgHash && (a.Covers(p.cap) || a.Steps >= tr.Steps) {
-		ent.art, ent.artOutcome = a, "hit"
-		p.obsv.frontendOutcome(ent.artOutcome)
-		return
-	}
-	o := p.obsv
-	t0 := o.now()
-	a, err := stats.BuildArtifact(ctx, tr, p.cap)
-	if err != nil {
-		return
-	}
-	o.span(PhaseFrontend, o.now()-t0)
-	ent.art, ent.artOutcome = a, "build"
-	p.obsv.frontendOutcome(ent.artOutcome)
-	_ = stats.StoreArtifact(p.frontendDir, akey, a)
 }

@@ -109,95 +109,16 @@ func TestWarmSweepByteIdenticalToCold(t *testing.T) {
 	}
 }
 
-// TestExperimentFrontendCacheRoundTrip pins the frontend-artifact tier
-// at the experiment level: a cached run is bit-identical to a live
-// frontend run, the first cached run builds and stores one artifact per
-// benchmark, and a second run over the same directory serves them from
-// disk — all observed through the process-wide counters that
-// sim.ProcessMetrics snapshots.
-func TestExperimentFrontendCacheRoundTrip(t *testing.T) {
-	traceDir, feDir := t.TempDir(), t.TempDir()
-	run := func(opts ...sim.Option) []sim.Result {
-		t.Helper()
-		base := []sim.Option{
-			sim.WithSuite("gzip", "vpr"),
-			sim.WithSchemes("conventional", "predpred"),
-			sim.WithCommits(50000),
-			sim.WithProfileSteps(50000),
-			sim.WithMode(sim.ModeTrace),
-			sim.WithTraceDir(traceDir),
-		}
-		exp, err := sim.New(append(base, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := exp.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rs {
-			if r.Err != nil {
-				t.Fatalf("%s/%s: %v", r.Bench, r.Scheme, r.Err)
-			}
-		}
-		return rs
-	}
-
-	plain := run()
-	before := sim.ProcessMetrics()
-	built := run(sim.WithFrontendCache(feDir))
-	mid := sim.ProcessMetrics()
-	hit := run(sim.WithFrontendCache(feDir))
-	after := sim.ProcessMetrics()
-
-	if !reflect.DeepEqual(plain, built) {
-		t.Error("artifact-fed run (build path) differs from live-frontend run")
-	}
-	if !reflect.DeepEqual(plain, hit) {
-		t.Error("artifact-fed run (hit path) differs from live-frontend run")
-	}
-
-	d := func(a, b sim.MetricsSnapshot, name string) uint64 {
-		return b.CounterValue(name) - a.CounterValue(name)
-	}
-	if got := d(before, mid, "frontend.builds"); got != 2 {
-		t.Errorf("first cached run should build one artifact per benchmark, got %d", got)
-	}
-	if got := d(before, mid, "frontend.cache.stores"); got != 2 {
-		t.Errorf("first cached run should store 2 artifacts, got %d", got)
-	}
-	if got := d(before, mid, "frontend.cache.misses"); got != 2 {
-		t.Errorf("first cached run should miss 2 lookups, got %d", got)
-	}
-	if got := d(mid, after, "frontend.cache.hits"); got != 2 {
-		t.Errorf("second cached run should hit 2 lookups, got %d", got)
-	}
-	if got := d(mid, after, "frontend.builds"); got != 0 {
-		t.Errorf("second cached run should build nothing, got %d", got)
-	}
-	if got := d(mid, after, "frontend.cache.bytes.read"); got == 0 {
-		t.Error("second cached run should read artifact bytes from disk")
-	}
-}
-
-// TestWarmSweepManifests pins warm-start and frontend-artifact
-// provenance in run manifests: warmed cells are flagged WarmStart with
-// no timing phases, replayed cells carry the frontend-artifact outcome,
-// and the artifact tier's process counters move.
+// TestWarmSweepManifests pins warm-start provenance in run manifests:
+// warmed cells are flagged WarmStart with no timing phases.
 func TestWarmSweepManifests(t *testing.T) {
 	o := sim.NewObserver()
-	before := sim.ProcessMetrics()
 	rs := warmTestSweep(t, t.TempDir(), true,
 		sim.WithObserver(o),
-		sim.WithFrontendCache(t.TempDir()),
 		sim.WithParallelism(1),
 	)
-	delta := sim.ProcessMetrics()
 	if len(rs) != 8 {
 		t.Fatalf("want 8 points, got %d", len(rs))
-	}
-	if d := delta.CounterValue("frontend.builds") - before.CounterValue("frontend.builds"); d != 2 {
-		t.Errorf("fresh frontend cache should build one artifact per benchmark, got %d", d)
 	}
 
 	ms := o.Manifests()
@@ -214,9 +135,6 @@ func TestWarmSweepManifests(t *testing.T) {
 			continue
 		}
 		replayed++
-		if m.FrontendCache != "build" {
-			t.Errorf("replayed cell %s/%s should carry artifact provenance %q, got %q", m.Bench, m.Scheme, "build", m.FrontendCache)
-		}
 	}
 	// One worker, 8 points, 2 non-carryover coordinates: 2×4 cells
 	// replay, the rest reuse.
